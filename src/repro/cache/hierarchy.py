@@ -569,19 +569,19 @@ class CacheHierarchy:
                                     dty3.remove(vaddr)
                                 set3[address] = marker
                                 # Inclusion: back-invalidate upper copies,
-                                # taking their fresher data (L1 checked
-                                # first, an L2 copy overrides — exactly the
-                                # scalar _install_llc order).
-                                copy = sets1[vaddr // ls1 % ns1].pop(
-                                    vaddr, missing)
-                                if copy is not missing and vaddr in dty1:
-                                    dty1.remove(vaddr)
-                                    vdata = copy
-                                    vdirty = True
+                                # taking their fresher data (L2 checked
+                                # first, an L1 copy — the freshest —
+                                # overrides: the scalar _install_llc order).
                                 copy = sets2[vaddr // ls2 % ns2].pop(
                                     vaddr, missing)
                                 if copy is not missing and vaddr in dty2:
                                     dty2.remove(vaddr)
+                                    vdata = copy
+                                    vdirty = True
+                                copy = sets1[vaddr // ls1 % ns1].pop(
+                                    vaddr, missing)
+                                if copy is not missing and vaddr in dty1:
+                                    dty1.remove(vaddr)
                                     vdata = copy
                                     vdirty = True
                                 if vdirty:
@@ -774,15 +774,16 @@ class CacheHierarchy:
         """Install into the LLC; dirty victims are written back to memory.
 
         Under inclusion, evicting an LLC line also back-invalidates any
-        upper-level copies (taking their fresher data with them); without
-        inclusion there is nothing to invalidate.
+        upper-level copies (taking their fresher data with them: L2 over
+        the LLC, and L1 — the freshest — over both); without inclusion
+        there is nothing to invalidate.
         """
         victim = self.llc.insert(line)
         if victim is None:
             return
         data, dirty = victim.data, victim.dirty
         if self.inclusive:
-            for upper in (self.l1, self.l2):
+            for upper in (self.l2, self.l1):
                 copy = upper.invalidate(victim.address)
                 if copy is not None and copy.dirty:
                     data, dirty = copy.data, True

@@ -96,6 +96,27 @@ class ChvLayout:
         base = self._data_base
         return [base + position * CACHE_LINE_SIZE for position in positions]
 
+    def address_block_addresses(self, groups: Sequence[int]) -> list[int]:
+        """Batched :meth:`address_block_address` over ``groups``."""
+        return self._group_addresses(groups, ADDRESSES_PER_BLOCK, "address",
+                                     self._address_base)
+
+    def mac_block_addresses(self, groups: Sequence[int],
+                            group_size: int = MACS_PER_BLOCK) -> list[int]:
+        """Batched :meth:`mac_block_address` over ``groups``."""
+        return self._group_addresses(groups, group_size, "MAC",
+                                     self._mac_base)
+
+    def _group_addresses(self, groups: Sequence[int], per_block: int,
+                         label: str, base: int) -> list[int]:
+        # Bounds-check the batch's extremes; the per-group loop only runs
+        # to raise the exact error.
+        if groups and not (0 <= min(groups) and max(groups)
+                           < -(-self.capacity // per_block)):
+            for group in groups:
+                self._check_group(group, per_block, label)
+        return [base + group * CACHE_LINE_SIZE for group in groups]
+
     def mac_block_address(self, group: int,
                           group_size: int = MACS_PER_BLOCK) -> int:
         """NVM address of MAC block ``group``.
@@ -166,6 +187,21 @@ class VaultRotation:
     def mac_group(self, group: int, group_size: int) -> int:
         groups = self.capacity // group_size
         return (group + self.offset // group_size) % groups
+
+    def address_groups(self, count: int) -> Sequence[int]:
+        """Groups ``0..count-1`` rotated (batched :meth:`address_group`)."""
+        return self._rotated_groups(count, ADDRESSES_PER_BLOCK)
+
+    def mac_groups(self, count: int, group_size: int) -> Sequence[int]:
+        """Groups ``0..count-1`` rotated (batched :meth:`mac_group`)."""
+        return self._rotated_groups(count, group_size)
+
+    def _rotated_groups(self, count: int, per_block: int) -> Sequence[int]:
+        if not self.offset:
+            return range(count)
+        groups = self.capacity // per_block
+        shift = self.offset // per_block
+        return [(group + shift) % groups for group in range(count)]
 
 
 def expected_chv_bytes(config: SystemConfig) -> float:

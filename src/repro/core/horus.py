@@ -190,20 +190,18 @@ class HorusDrainEngine(DrainEngine):
             if len(addr_buf) < addr_blocks * CACHE_LINE_SIZE:
                 addr_buf = addr_buf.ljust(addr_blocks * CACHE_LINE_SIZE,
                                           b"\0")
-            addr_group = rotation.address_group
             self._nvm.write_arena(
-                [chv.address_block_address(addr_group(g))
-                 for g in range(addr_blocks)],
+                chv.address_block_addresses(
+                    rotation.address_groups(addr_blocks)),
                 addr_buf, WriteKind.CHV_ADDRESS)
 
             mac_buf = level2_raw if self._dlm else mac_raw
             if len(mac_buf) < mac_blocks * CACHE_LINE_SIZE:
                 mac_buf = mac_buf.ljust(mac_blocks * CACHE_LINE_SIZE, b"\0")
-            mac_group = rotation.mac_group
             self._nvm.write_arena(
-                [chv.mac_block_address(mac_group(g, self.mac_group),
-                                       self.mac_group)
-                 for g in range(mac_blocks)],
+                chv.mac_block_addresses(
+                    rotation.mac_groups(mac_blocks, self.mac_group),
+                    self.mac_group),
                 mac_buf, WriteKind.CHV_MAC)
             return
 

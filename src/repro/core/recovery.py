@@ -203,13 +203,13 @@ class HorusRecovery:
         group_size = self.mac_group
 
         address_buf = self._nvm.read_arena(
-            [chv.address_block_address(rotation.address_group(g))
-             for g in range(-(-count // ADDRESSES_PER_BLOCK))],
+            chv.address_block_addresses(rotation.address_groups(
+                -(-count // ADDRESSES_PER_BLOCK))),
             ReadKind.CHV)
         mac_buf = self._nvm.read_arena(
-            [chv.mac_block_address(rotation.mac_group(g, group_size),
-                                   group_size)
-             for g in range(-(-count // group_size))],
+            chv.mac_block_addresses(
+                rotation.mac_groups(-(-count // group_size), group_size),
+                group_size),
             ReadKind.CHV)
         buffer = self._nvm.read_arena(
             chv.data_addresses(rotation.data_slots(count)), ReadKind.CHV)

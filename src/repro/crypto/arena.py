@@ -26,6 +26,7 @@ fall back to the arbitrary-precision path.
 """
 
 import os
+import struct
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -135,17 +136,20 @@ def frame_buffer(addresses: Sequence[int], counters: Sequence[int]) -> bytes:
         for address, counter in zip(addresses, counters))
 
 
-def frame_views(frames: bytes | memoryview,
-                count: int) -> Iterator[memoryview]:
-    """Zero-copy 24 B frame slices of a :func:`frame_buffer` result."""
-    if len(frames) != FRAME_SIZE * count:
-        raise ValueError(
-            f"frame buffer must be {FRAME_SIZE} B per block, got "
-            f"{len(frames)} B for {count} blocks")
-    view = memoryview(frames)
-    return (view[offset:offset + FRAME_SIZE]
-            for offset in range(0, FRAME_SIZE * count, FRAME_SIZE))
+def split_records(buffer: bytes | bytearray | memoryview, size: int,
+                  count: int) -> tuple[bytes, ...]:
+    """``buffer`` cut into ``count`` consecutive ``size``-byte records.
 
+    One C-level ``struct`` pass: the batch kernels iterate the result
+    instead of slicing the buffer once per block in Python.  The format is
+    compiled per call rather than through ``struct.unpack``'s module-level
+    cache, which would keep up to 100 batch-sized formats alive.
+    """
+    if len(buffer) != size * count:
+        raise ValueError(
+            f"buffer must be {size} B per record, got {len(buffer)} B for "
+            f"{count} records")
+    return struct.Struct(f"{size}s" * count).unpack(buffer)
 
 def xor_bytes(a: bytes | bytearray | memoryview,
               b: bytes | bytearray | memoryview) -> bytes:

@@ -9,8 +9,10 @@ are *provably equivalent* — they produce byte-identical output for every
 input (property-tested in ``tests/test_prop_batch.py``) — but amortize the
 fixed costs across the whole work list:
 
-* the keyed hash state (key block + domain tag) is absorbed once and
-  ``copy()``-ed per item instead of being recomputed;
+* the keyed hash state (key block + domain tag) is absorbed once — by
+  :func:`pad_state` / :func:`mac_state`, which the timed engines call once
+  per key and share with their scalar methods — and ``copy()``-ed per item
+  instead of being recomputed;
 * the counter-mode XOR runs once over the episode's contiguous buffer as a
   single arbitrary-precision operation instead of per block;
 * per-item framing (address/counter fields) is assembled in one pass.
@@ -25,8 +27,17 @@ import os
 from collections.abc import Iterable, Sequence
 
 from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
-from repro.crypto.arena import frame_buffer, frame_views, xor_bytes
+from repro.crypto.arena import (
+    FRAME_SIZE,
+    frame_buffer,
+    split_records,
+    xor_bytes,
+)
 from repro.crypto.primitives import MAC_DOMAIN, PAD_DOMAIN, MacDomain
+
+KeyedState = hashlib.blake2b
+"""A keyed BLAKE2b state with its domain prefix already absorbed (from
+:func:`pad_state` or :func:`mac_state`); kernels only ever ``copy()`` it."""
 
 Frames = Sequence[bytes] | bytes | bytearray | memoryview | None
 """A batch's (address, counter) hash frames: either the list form from
@@ -45,6 +56,29 @@ def batching_enabled(override: bool | None = None) -> bool:
     if override is not None:
         return override
     return os.environ.get("REPRO_BATCH", "1") != "0"
+
+
+def pad_state(key: bytes) -> KeyedState:
+    """The counter-mode pad prefix: ``key`` and the pad domain absorbed.
+
+    ``state.copy()`` followed by the (address, counter) frame yields exactly
+    :func:`~repro.crypto.primitives.generate_pad`'s hash.
+    """
+    state = hashlib.blake2b(key=key, digest_size=CACHE_LINE_SIZE)
+    state.update(PAD_DOMAIN)
+    return state
+
+
+def mac_state(key: bytes, domain: MacDomain) -> KeyedState:
+    """The MAC prefix: ``key`` and both domain tags absorbed.
+
+    ``state.copy()`` followed by the parts yields exactly
+    :func:`~repro.crypto.primitives.compute_mac` under ``domain``.
+    """
+    state = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
+    state.update(MAC_DOMAIN)
+    state.update(domain.value)
+    return state
 
 
 def counter_frames(addresses: Sequence[int],
@@ -67,33 +101,31 @@ def _resolve_frames(frames: Frames, addresses: Sequence[int],
     """Iterate a batch's frames regardless of representation.
 
     ``None`` assembles them (contiguously, via the arena kernel); a
-    ``bytes``/``bytearray``/``memoryview`` buffer is sliced into 24 B
-    zero-copy windows; a pre-built list is returned as is.  Every form
-    yields the exact bytes :func:`counter_frames` would produce.
+    ``bytes``/``bytearray``/``memoryview`` buffer is cut into 24 B frames
+    in one pass; a pre-built list is returned as is.  Every form yields
+    the exact bytes :func:`counter_frames` would produce.
     """
     if frames is None:
         frames = frame_buffer(addresses, counters)
     if isinstance(frames, (bytes, bytearray, memoryview)):
-        return frame_views(frames, len(addresses))
+        return split_records(frames, FRAME_SIZE, len(addresses))
     return frames
 
 
-def generate_pads(key: bytes, addresses: Sequence[int],
+def generate_pads(state: KeyedState, addresses: Sequence[int],
                   counters: Sequence[int],
                   frames: Frames = None) -> bytes:
     """Counter-mode pads for a batch of blocks, as one contiguous buffer.
 
     Byte ``64*i .. 64*i+63`` equals ``generate_pad(key, addresses[i],
-    counters[i])``.  The keyed state and the pad domain tag are absorbed
-    once; each block only pays for its own (address, counter) frame.
-    ``frames`` lets a caller that also MACs the same batch reuse one
-    frame-assembly pass — either the :func:`counter_frames` list or the
-    contiguous :func:`repro.crypto.arena.frame_buffer` form.
+    counters[i])`` for ``state = pad_state(key)``; each block only pays for
+    its own (address, counter) frame.  ``frames`` lets a caller that also
+    MACs the same batch reuse one frame-assembly pass — either the
+    :func:`counter_frames` list or the contiguous
+    :func:`repro.crypto.arena.frame_buffer` form.
     """
     frame_iter = _resolve_frames(frames, addresses, counters)
-    base = hashlib.blake2b(key=key, digest_size=CACHE_LINE_SIZE)
-    base.update(PAD_DOMAIN)
-    fork = base.copy
+    fork = state.copy
     pads: list[bytes] = []
     append = pads.append
     for frame in frame_iter:
@@ -113,7 +145,7 @@ def xor_buffers(a: bytes, b: bytes) -> bytes:
     return xor_bytes(a, b)
 
 
-def encrypt_blocks(key: bytes, addresses: Sequence[int],
+def encrypt_blocks(state: KeyedState, addresses: Sequence[int],
                    counters: Sequence[int],
                    plaintext: bytes | bytearray | memoryview,
                    frames: Frames = None) -> bytes:
@@ -121,8 +153,8 @@ def encrypt_blocks(key: bytes, addresses: Sequence[int],
 
     ``plaintext`` is the concatenation of ``len(addresses)`` blocks; the
     result is the concatenation of ``encrypt_block(key, a, c, block)`` for
-    each.  Encryption and decryption are the same operation, as in the
-    scalar form.
+    each, with ``state = pad_state(key)``.  Encryption and decryption are
+    the same operation, as in the scalar form.
     """
     if len(plaintext) != CACHE_LINE_SIZE * len(addresses):
         raise ValueError(
@@ -131,26 +163,23 @@ def encrypt_blocks(key: bytes, addresses: Sequence[int],
     if not addresses:
         return b""
     return xor_buffers(plaintext,
-                       generate_pads(key, addresses, counters, frames))
+                       generate_pads(state, addresses, counters, frames))
 
 
 decrypt_blocks = encrypt_blocks
 """Counter-mode decryption is identical to encryption by construction."""
 
 
-def compute_macs(key: bytes,
-                 items: Iterable[tuple[bytes | memoryview, ...]],
-                 domain: MacDomain = MacDomain.NODE) -> list[bytes]:
+def compute_macs(state: KeyedState,
+                 items: Iterable[tuple[bytes | memoryview, ...]]
+                 ) -> list[bytes]:
     """Keyed MACs over a batch of pre-framed inputs.
 
     ``items[i]`` is the ``parts`` tuple the scalar ``compute_mac`` would
-    receive; the result matches it byte for byte under the same ``domain``.
-    The keyed state and both domain tags are absorbed once for the batch.
+    receive; with ``state = mac_state(key, domain)`` the result matches it
+    byte for byte under the same ``domain``.
     """
-    base = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
-    base.update(MAC_DOMAIN)
-    base.update(domain.value)
-    fork = base.copy
+    fork = state.copy
     macs: list[bytes] = []
     append = macs.append
     for parts in items:
@@ -161,36 +190,32 @@ def compute_macs(key: bytes,
     return macs
 
 
-def compute_block_macs(key: bytes, buffer: bytes | bytearray | memoryview,
-                       addresses: Sequence[int],
-                       counters: Sequence[int], domain: MacDomain,
+def compute_block_macs(state: KeyedState,
+                       buffer: bytes | bytearray | memoryview,
+                       addresses: Sequence[int], counters: Sequence[int],
                        frames: Frames = None) -> list[bytes]:
     """Batched (ciphertext, address, counter) MACs — the CHV/data-MAC shape.
 
     ``buffer`` is the concatenation of ``len(addresses)`` 64 B blocks;
     element ``i`` equals ``compute_mac(key, block_i, int_field(addr),
-    int_field(ctr, 16), domain=domain)``.  ``frames`` reuses a frame
-    pass shared with pad generation (list or contiguous form).
+    int_field(ctr, 16), domain=domain)`` for ``state = mac_state(key,
+    domain)``.  ``frames`` reuses a frame pass shared with pad generation
+    (list or contiguous form).
     """
     if len(buffer) != CACHE_LINE_SIZE * len(addresses):
         raise ValueError(
             f"buffer must be {CACHE_LINE_SIZE} B per address, got "
             f"{len(buffer)} B for {len(addresses)} addresses")
-    frame_iter = _resolve_frames(frames, addresses, counters)
-    view = memoryview(buffer)
-    base = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
-    base.update(MAC_DOMAIN)
-    base.update(domain.value)
-    fork = base.copy
+    blocks = split_records(buffer, CACHE_LINE_SIZE, len(addresses))
+    fork = state.copy
     macs: list[bytes] = []
     append = macs.append
-    offset = 0
-    for frame in frame_iter:
+    for block, frame in zip(blocks,
+                            _resolve_frames(frames, addresses, counters)):
         h = fork()
-        h.update(view[offset:offset + CACHE_LINE_SIZE])
+        h.update(block)
         h.update(frame)
         append(h.digest())
-        offset += CACHE_LINE_SIZE
     return macs
 
 
@@ -200,6 +225,4 @@ def split_blocks(buffer: bytes | bytearray | memoryview,
     if len(buffer) % size:
         raise ValueError(f"buffer length {len(buffer)} not a multiple "
                          f"of {size}")
-    if not isinstance(buffer, bytes):
-        buffer = bytes(buffer)
-    return [buffer[i:i + size] for i in range(0, len(buffer), size)]
+    return list(split_records(buffer, size, len(buffer) // size))

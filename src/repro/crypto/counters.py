@@ -12,8 +12,6 @@ recovery re-derive the counter value used for any CHV position without
 persisting per-block counters.
 """
 
-from dataclasses import dataclass, field
-
 from repro.common.constants import (
     CACHE_LINE_SIZE,
     MAJOR_COUNTER_BITS,
@@ -24,39 +22,64 @@ from repro.common.errors import CounterOverflowError
 
 _MINOR_LIMIT = 1 << MINOR_COUNTER_BITS
 _MAJOR_LIMIT = 1 << MAJOR_COUNTER_BITS
-
-# The chunked wire codec assumes the paper's exact split-counter geometry
-# (64 x 7-bit minors -> eight 7-byte groups); any other geometry falls back
-# to the generic shift loop.
-_CHUNKED_WIRE = MINOR_COUNTER_BITS == 7 and MINOR_COUNTERS_PER_BLOCK == 64 \
-    and CACHE_LINE_SIZE == 64
+MINOR_MASK = _MINOR_LIMIT - 1
+MAJOR_MASK = _MAJOR_LIMIT - 1
+MINORS_SHIFT = 64
+"""Bit offset of minor 0 in the wire word: the major fills the first 8 B."""
 
 
-@dataclass
 class SplitCounterBlock:
-    """A 64 B split-counter block: 1 major + 64 minor counters."""
+    """A 64 B split-counter block: 1 major + 64 minor counters.
 
-    major: int = 0
-    minors: list[int] = field(
-        default_factory=lambda: [0] * MINOR_COUNTERS_PER_BLOCK)
+    The block is held as its 512-bit little-endian wire word: bits 0..63
+    are the major counter and minor ``i`` sits at bit ``64 + 7*i`` (the
+    scheme's arithmetic is exactly why a counter block covers 4 KiB with
+    zero padding).  Serialization is then a single int <-> bytes
+    conversion, and every counter operation is a shift and a mask.
+    :attr:`major` and :attr:`minors` are read-only views derived from it.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.major < _MAJOR_LIMIT:
-            raise CounterOverflowError(f"major counter {self.major} out of range")
-        if len(self.minors) != MINOR_COUNTERS_PER_BLOCK:
-            raise ValueError(
-                f"need exactly {MINOR_COUNTERS_PER_BLOCK} minor counters")
-        for minor in self.minors:
-            if not 0 <= minor < _MINOR_LIMIT:
-                raise CounterOverflowError(f"minor counter {minor} out of range")
+    __slots__ = ("word",)
+
+    def __init__(self, major: int = 0,
+                 minors: "list[int] | tuple[int, ...] | None" = None) -> None:
+        if not 0 <= major < _MAJOR_LIMIT:
+            raise CounterOverflowError(f"major counter {major} out of range")
+        word = major
+        if minors is not None:
+            if len(minors) != MINOR_COUNTERS_PER_BLOCK:
+                raise ValueError(
+                    f"need exactly {MINOR_COUNTERS_PER_BLOCK} minor counters")
+            shift = MINORS_SHIFT
+            for minor in minors:
+                if not 0 <= minor < _MINOR_LIMIT:
+                    raise CounterOverflowError(
+                        f"minor counter {minor} out of range")
+                word |= minor << shift
+                shift += MINOR_COUNTER_BITS
+        self.word = word
+
+    @property
+    def major(self) -> int:
+        return self.word & MAJOR_MASK
+
+    @property
+    def minors(self) -> tuple[int, ...]:
+        word = self.word
+        return tuple((word >> (MINORS_SHIFT + MINOR_COUNTER_BITS * slot))
+                     & MINOR_MASK
+                     for slot in range(MINOR_COUNTERS_PER_BLOCK))
 
     def counter_for(self, slot: int) -> int:
         """Full encryption counter of line ``slot``: ``major || minor``."""
-        return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
+        word = self.word
+        return ((word & MAJOR_MASK) << MINOR_COUNTER_BITS) | (
+            (word >> (MINORS_SHIFT + MINOR_COUNTER_BITS * slot)) & MINOR_MASK)
 
     def will_overflow(self, slot: int) -> bool:
         """True when the next :meth:`increment` of ``slot`` wraps the minor."""
-        return self.minors[slot] + 1 >= _MINOR_LIMIT
+        return (self.word >> (MINORS_SHIFT + MINOR_COUNTER_BITS * slot)) \
+            & MINOR_MASK == MINOR_MASK
 
     def increment(self, slot: int) -> bool:
         """Advance the counter of line ``slot`` before a write.
@@ -65,74 +88,51 @@ class SplitCounterBlock:
         all minors reset, and the caller must re-encrypt the whole page
         (the split-counter contract).
         """
-        minor = self.minors[slot] + 1
-        if minor < _MINOR_LIMIT:
-            self.minors[slot] = minor
+        word = self.word
+        shift = MINORS_SHIFT + MINOR_COUNTER_BITS * slot
+        if (word >> shift) & MINOR_MASK != MINOR_MASK:
+            self.word = word + (1 << shift)
             return False
-        if self.major + 1 >= _MAJOR_LIMIT:
+        major = word & MAJOR_MASK
+        if major + 1 >= _MAJOR_LIMIT:
             raise CounterOverflowError("major counter exhausted")
-        self.major += 1
-        self.minors = [0] * MINOR_COUNTERS_PER_BLOCK
+        self.word = major + 1
         return True
 
     # -- 64 B wire format -----------------------------------------------------
-    # 8 bytes of major counter followed by 64 x 7-bit minors packed into the
-    # remaining 56 bytes (the scheme's arithmetic is exactly why a counter
-    # block covers 4 KiB with zero padding).
 
     def to_bytes(self) -> bytes:
-        if _CHUNKED_WIRE:
-            # 8 minors = 56 bits = 7 bytes: packing per chunk keeps the
-            # intermediate ints machine-sized instead of accumulating one
-            # 448-bit integer (this serializes every counter writeback).
-            out = bytearray(self.major.to_bytes(8, "little"))
-            m = self.minors
-            for i in range(0, MINOR_COUNTERS_PER_BLOCK, 8):
-                chunk = (m[i] | m[i + 1] << 7 | m[i + 2] << 14
-                         | m[i + 3] << 21 | m[i + 4] << 28 | m[i + 5] << 35
-                         | m[i + 6] << 42 | m[i + 7] << 49)
-                out += chunk.to_bytes(7, "little")
-            return bytes(out)
-        packed = 0
-        for i, minor in enumerate(self.minors):
-            packed |= minor << (i * MINOR_COUNTER_BITS)
-        return (self.major.to_bytes(8, "little")
-                + packed.to_bytes(CACHE_LINE_SIZE - 8, "little"))
+        return self.word.to_bytes(CACHE_LINE_SIZE, "little")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SplitCounterBlock":
         if len(data) != CACHE_LINE_SIZE:
             raise ValueError(f"counter block must be {CACHE_LINE_SIZE} B")
-        major = int.from_bytes(data[:8], "little")
-        if major >= _MAJOR_LIMIT:
-            raise CounterOverflowError(
-                f"major counter {major} out of range")
-        mask = _MINOR_LIMIT - 1
-        # Masked parsing cannot produce an out-of-range minor, so skip the
-        # dataclass validation pass — this runs once per counter-block fetch.
+        # Every 512-bit word is a valid block (masked fields cannot be out
+        # of range), so skip the constructor's validation pass — this runs
+        # once per counter-block fetch.
         block = cls.__new__(cls)
-        block.major = major
-        if _CHUNKED_WIRE:
-            minors: list[int] = []
-            extend = minors.extend
-            for base in range(8, CACHE_LINE_SIZE, 7):
-                chunk = int.from_bytes(data[base:base + 7], "little")
-                extend((chunk & 127, (chunk >> 7) & 127, (chunk >> 14) & 127,
-                        (chunk >> 21) & 127, (chunk >> 28) & 127,
-                        (chunk >> 35) & 127, (chunk >> 42) & 127,
-                        chunk >> 49))
-            block.minors = minors
-        else:
-            packed = int.from_bytes(data[8:], "little")
-            block.minors = [(packed >> (i * MINOR_COUNTER_BITS)) & mask
-                            for i in range(MINOR_COUNTERS_PER_BLOCK)]
+        block.word = int.from_bytes(data, "little")
         return block
 
     def copy(self) -> "SplitCounterBlock":
-        return SplitCounterBlock(self.major, list(self.minors))
+        block = SplitCounterBlock.__new__(SplitCounterBlock)
+        block.word = self.word
+        return block
 
     def is_zero(self) -> bool:
-        return self.major == 0 and not any(self.minors)
+        return self.word == 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SplitCounterBlock):
+            return NotImplemented
+        return self.word == other.word
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclass
+
+    def __repr__(self) -> str:
+        return (f"SplitCounterBlock(major={self.major}, "
+                f"minors={list(self.minors)})")
 
 
 class DrainCounter:

@@ -4,6 +4,13 @@ The engines wrap the pure primitives with (a) operation accounting into a
 :class:`~repro.stats.counters.SimStats` — the quantities Figures 13/15 report —
 and (b) an optional non-functional mode where values are not actually computed
 (counting-only), which speeds up pure performance experiments.
+
+Each engine absorbs its key and domain tags once, at construction, into
+prefix states (:func:`repro.crypto.batch.pad_state` /
+:func:`~repro.crypto.batch.mac_state`); every scalar and batched operation
+``copy()``-es one instead of re-running the BLAKE2b key schedule.  The
+values are exactly those of the reference primitives in
+:mod:`repro.crypto.primitives`.
 """
 
 from collections.abc import Sequence
@@ -11,17 +18,12 @@ from typing import Protocol
 
 from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
 from repro.crypto import batch
-from repro.crypto.primitives import (
-    MacDomain,
-    compute_mac,
-    decrypt_block,
-    encrypt_block,
-    int_field,
-)
+from repro.crypto.primitives import MacDomain, xor_block
 from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
 
 _PLACEHOLDER_MAC = bytes(MAC_SIZE)
+_NODE = MacDomain.NODE
 
 _BLOCK_DOMAINS = {MacKind.CHV_DATA: MacDomain.CHV_DATA}
 _DIGEST_DOMAINS = {MacKind.CHV_LEVEL2: MacDomain.CHV_LEVEL2}
@@ -57,21 +59,31 @@ class AesEngine:
                  functional: bool = True) -> None:
         self._stats = stats
         self._key = key
+        self._pad = batch.pad_state(key)
         self.functional = functional
+
+    @staticmethod
+    def _crypt(state: batch.KeyedState, address: int, counter: int,
+               block: bytes) -> bytes:
+        """Counter-mode XOR of one block under the pad prefix ``state``."""
+        h = state.copy()
+        h.update(address.to_bytes(8, "little"))
+        h.update(counter.to_bytes(16, "little"))
+        return xor_block(block, h.digest())
 
     def encrypt(self, address: int, counter: int, plaintext: bytes | None) -> bytes | None:
         """Encrypt one block; accounts one AES operation."""
         self._stats.record_aes(AesKind.ENCRYPT)
         if not self.functional or plaintext is None:
             return plaintext
-        return encrypt_block(self._key, address, counter, plaintext)
+        return self._crypt(self._pad, address, counter, plaintext)
 
     def decrypt(self, address: int, counter: int, ciphertext: bytes | None) -> bytes | None:
         """Decrypt one block; accounts one AES operation."""
         self._stats.record_aes(AesKind.DECRYPT)
         if not self.functional or ciphertext is None:
             return ciphertext
-        return decrypt_block(self._key, address, counter, ciphertext)
+        return self._crypt(self._pad, address, counter, ciphertext)
 
     def encrypt_batch(self, addresses: Sequence[int],
                       counters: Sequence[int],
@@ -88,7 +100,7 @@ class AesEngine:
         self._stats.record_aes(AesKind.ENCRYPT, len(addresses))
         if not self.functional or plaintext is None:
             return None
-        return batch.encrypt_blocks(self._key, addresses, counters,
+        return batch.encrypt_blocks(self._pad, addresses, counters,
                                     plaintext, frames)
 
     def decrypt_batch(self, addresses: Sequence[int],
@@ -99,7 +111,7 @@ class AesEngine:
         self._stats.record_aes(AesKind.DECRYPT, len(addresses))
         if not self.functional or ciphertext is None:
             return None
-        return batch.decrypt_blocks(self._key, addresses, counters,
+        return batch.decrypt_blocks(self._pad, addresses, counters,
                                     ciphertext, frames)
 
 
@@ -110,6 +122,9 @@ class MacEngine:
                  functional: bool = True) -> None:
         self._stats = stats
         self._key = key
+        self._states = {domain: batch.mac_state(key, domain)
+                        for domain in MacDomain}
+        self._node = self._states[_NODE]
         self.functional = functional
 
     def block_mac(self, kind: MacKind, ciphertext: bytes | None,
@@ -127,9 +142,18 @@ class MacEngine:
         self._stats.record_mac(kind)
         if not self.functional or ciphertext is None:
             return _PLACEHOLDER_MAC
-        return compute_mac(self._key, ciphertext, int_field(address),
-                           int_field(counter, 16),
-                           domain=block_domain(kind, domain))
+        return self._block_mac(self._states[block_domain(kind, domain)],
+                               ciphertext, address, counter)
+
+    @staticmethod
+    def _block_mac(state: batch.KeyedState, ciphertext: bytes,
+                   address: int, counter: int) -> bytes:
+        """The (ciphertext, address, counter) MAC under prefix ``state``."""
+        h = state.copy()
+        h.update(ciphertext)
+        h.update(address.to_bytes(8, "little"))
+        h.update(counter.to_bytes(16, "little"))
+        return h.digest()
 
     def node_mac(self, kind: MacKind, content: bytes | None,
                  address: int) -> bytes:
@@ -137,8 +161,10 @@ class MacEngine:
         self._stats.record_mac(kind)
         if not self.functional or content is None:
             return _PLACEHOLDER_MAC
-        return compute_mac(self._key, content, int_field(address),
-                           domain=MacDomain.NODE)
+        h = self._node.copy()
+        h.update(content)
+        h.update(address.to_bytes(8, "little"))
+        return h.digest()
 
     def digest_mac(self, kind: MacKind, content: bytes | None,
                    domain: MacDomain | None = None) -> bytes:
@@ -151,8 +177,13 @@ class MacEngine:
         self._stats.record_mac(kind)
         if not self.functional or content is None:
             return _PLACEHOLDER_MAC
-        return compute_mac(self._key, content,
-                           domain=digest_domain(kind, domain))
+        # Tree-node digests (the hot caller) pass NODE explicitly: an
+        # identity test skips the enum hashing of the general lookup.
+        state = self._node if domain is _NODE \
+            else self._states[digest_domain(kind, domain)]
+        h = state.copy()
+        h.update(content)
+        return h.digest()
 
     def block_mac_batch(self, kind: MacKind,
                         buffer: bytes | bytearray | memoryview | None,
@@ -171,9 +202,9 @@ class MacEngine:
         self._stats.record_mac(kind, count)
         if not self.functional or buffer is None:
             return [_PLACEHOLDER_MAC] * count
-        return batch.compute_block_macs(self._key, buffer, addresses,
-                                        counters, block_domain(kind, domain),
-                                        frames)
+        return batch.compute_block_macs(
+            self._states[block_domain(kind, domain)], buffer, addresses,
+            counters, frames)
 
     def digest_mac_batch(self, kind: MacKind,
                          contents: Sequence[bytes | memoryview] | None,
@@ -183,9 +214,8 @@ class MacEngine:
         self._stats.record_mac(kind, count)
         if not self.functional or contents is None:
             return [_PLACEHOLDER_MAC] * count
-        return batch.compute_macs(self._key,
-                                  ((content,) for content in contents),
-                                  domain=digest_domain(kind, domain))
+        return batch.compute_macs(self._states[digest_domain(kind, domain)],
+                                  ((content,) for content in contents))
 
     def verify_equal(self, expected: bytes, actual: bytes) -> bool:
         """Compare MACs; in non-functional mode everything verifies."""

@@ -117,7 +117,7 @@ class SinkSpec:
 @dataclass(frozen=True)
 class StoreSinkSpec:
     """An assignment-shaped sink: taint must not be stored into the named
-    attributes (``obj.major = x``) or their elements (``obj.minors[i] = x``).
+    attributes (``obj.word = x``) or their elements (``obj.minors[i] = x``).
     """
 
     rule: str

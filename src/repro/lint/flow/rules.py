@@ -130,7 +130,7 @@ class RuleF1(FlowRule):
         sinks=(
             SinkSpec(
                 rule="F1",
-                callee_names=frozenset({"compute_mac", "compute_macs"}),
+                callee_names=frozenset({"compute_mac", "mac_state"}),
                 arg_positions=(0,),
                 kwarg_names=("key",),
                 labels=frozenset({TENANT_KEY}),
@@ -141,7 +141,8 @@ class RuleF1(FlowRule):
                 rule="F1",
                 callee_names=frozenset({
                     "encrypt_block", "decrypt_block", "encrypt_blocks",
-                    "decrypt_blocks", "compute_block_macs", "block_mac"}),
+                    "decrypt_blocks", "compute_block_macs", "block_mac",
+                    "pad_state", "mac_state"}),
                 arg_positions=(0,),
                 kwarg_names=("key",),
                 labels=frozenset({MASTER_KEY}),
@@ -304,16 +305,18 @@ class RuleF5(FlowRule):
     title = "counter monotonicity: no decremented counter write-back"
     rationale = (
         "Counter-mode encryption is only safe while counters never repeat. "
-        "A counter read from a SplitCounterBlock or metadata cache line "
-        "that goes through a subtraction must not be stored back into "
-        "counter-block state or persisted through metadata constructors — "
-        "that is pad reuse.")
+        "A counter read from a SplitCounterBlock (its wire word or the "
+        "derived major/minor views) or metadata cache line that goes "
+        "through a subtraction must not be stored back into counter-block "
+        "state or persisted through metadata constructors — that is pad "
+        "reuse.")
     scope = ("repro",)
 
     flow_config = FlowConfig(
         sources=(
             SourceSpec("call", frozenset({"counter_for"}), COUNTER),
-            SourceSpec("attr", frozenset({"minors", "major"}), COUNTER),
+            SourceSpec("attr", frozenset({"word", "minors", "major"}),
+                       COUNTER),
         ),
         sinks=(
             SinkSpec(
@@ -334,7 +337,7 @@ class RuleF5(FlowRule):
         store_sinks=(
             StoreSinkSpec(
                 rule="F5",
-                attr_names=frozenset({"minors", "major"}),
+                attr_names=frozenset({"word", "minors", "major"}),
                 labels=frozenset({COUNTER_DEC}),
                 message=_F5_STORE_MSG),
         ),

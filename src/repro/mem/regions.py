@@ -80,6 +80,9 @@ class MemoryLayout:
         mac_size = data_size // MACS_PER_BLOCK
 
         self.tree_levels = tree_level_sizes(self.num_counter_blocks, arity)
+        self.num_tree_levels = len(self.tree_levels)
+        """Node levels above the counter blocks, including the root level."""
+        self.tree_arity = arity
         tree_size = sum(self.tree_levels) * CACHE_LINE_SIZE
 
         # CHV holds every flushed line plus 1/8 address blocks and up to 1/8
@@ -130,11 +133,6 @@ class MemoryLayout:
     def regions(self) -> tuple[Region, ...]:
         return (self.data, self.counters, self.macs, self.tree,
                 self.chv, self.shadow)
-
-    @property
-    def num_tree_levels(self) -> int:
-        """Node levels above the counter blocks, including the root level."""
-        return len(self.tree_levels)
 
     # -- data <-> metadata mappings -------------------------------------------
 
@@ -204,15 +202,17 @@ class MemoryLayout:
 
     def parent_of_counter_block(self, counter_address: int) -> tuple[int, int, int]:
         """(level, index, slot) of the level-1 tree slot covering a counter block."""
-        arity = self._config.security.tree_arity
-        cb = self.counter_block_index(counter_address)
-        return 1, cb // arity, cb % arity
+        if not self._counters_base <= counter_address < self._counters_end:
+            # Cold path purely for the precise error.
+            self.counter_block_index(counter_address)
+        cb = (counter_address - self._counters_base) // CACHE_LINE_SIZE
+        return 1, cb // self.tree_arity, cb % self.tree_arity
 
     def parent_of_tree_node(self, level: int, index: int) -> tuple[int, int, int]:
         """(level, index, slot) of the parent slot of tree node (level, index)."""
-        arity = self._config.security.tree_arity
         if level >= self.num_tree_levels:
             raise AddressError("the root has no parent")
+        arity = self.tree_arity
         return level + 1, index // arity, index % arity
 
     def tree_node_coords(self, address: int) -> tuple[int, int]:

@@ -26,7 +26,12 @@ from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError, IntegrityError
 from repro.crypto.arena import frame_buffer
 from repro.crypto.batch import batching_enabled
-from repro.crypto.counters import SplitCounterBlock
+from repro.crypto.counters import (
+    MAJOR_MASK,
+    MINOR_MASK,
+    MINORS_SHIFT,
+    SplitCounterBlock,
+)
 from repro.crypto.engine import AesEngine, KeySchedule, MacEngine
 from repro.crypto.primitives import MacDomain
 from repro.mem.nvm import NvmDevice
@@ -325,22 +330,23 @@ class SecureMemoryController:
                         ctr_hits += 1
                         ctr_set[cb_address] = ctr_set.pop(cb_address)
                     block: SplitCounterBlock = counter_line.value
-                    slot = (address % COUNTER_BLOCK_COVERAGE) \
-                        // CACHE_LINE_SIZE
-                    # Inline of will_overflow/increment/counter_for for the
-                    # non-overflow case — the only one that stays in the
-                    # batch (the break leaves the block untouched for the
-                    # scalar overflow tail below, exactly like
-                    # will_overflow would).
-                    minors = block.minors
-                    minor = minors[slot] + 1
+                    # Inline of will_overflow/increment/counter_for on the
+                    # wire word, for the non-overflow case — the only one
+                    # that stays in the batch (the break leaves the block
+                    # untouched for the scalar overflow tail below,
+                    # exactly like will_overflow would).
+                    word = block.word
+                    shift = (MINORS_SHIFT + (address % COUNTER_BLOCK_COVERAGE)
+                             // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
+                    minor = ((word >> shift) & MINOR_MASK) + 1
                     if minor >= _MINOR_LIMIT:
                         overflow = index
                         break
-                    minors[slot] = minor
+                    block.word = word + (1 << shift)
                     w_ops(index)
                     w_addrs(address)
-                    w_ctrs((block.major << MINOR_COUNTER_BITS) | minor)
+                    w_ctrs(((word & MAJOR_MASK) << MINOR_COUNTER_BITS)
+                           | minor)
                     w_data(data)  # type: ignore[arg-type]
                     pending_add(address)
                     dp(index)
@@ -366,13 +372,15 @@ class SecureMemoryController:
                         else:
                             ctr_hits += 1
                             ctr_set[cb_address] = ctr_set.pop(cb_address)
-                        rblock = counter_line.value
+                        word = counter_line.value.word
                         r_ops(index)
                         r_addrs(address)
-                        r_ctrs((rblock.major << MINOR_COUNTER_BITS)
-                               | rblock.minors[(address
-                                                % COUNTER_BLOCK_COVERAGE)
-                                               // CACHE_LINE_SIZE])
+                        r_ctrs(((word & MAJOR_MASK) << MINOR_COUNTER_BITS)
+                               | (word >> (MINORS_SHIFT
+                                           + (address % COUNTER_BLOCK_COVERAGE)
+                                           // CACHE_LINE_SIZE
+                                           * MINOR_COUNTER_BITS))
+                               & MINOR_MASK)
                         if victims:
                             drain(meta_kinds)
                     else:
@@ -423,11 +431,11 @@ class SecureMemoryController:
                     ct_view[offset:offset + CACHE_LINE_SIZE]
             else:
                 op_index = ~entry
-                block = pending.get(ops[op_index][1])
-                if block is None:
+                written = pending.get(ops[op_index][1])
+                if written is None:
                     backend_reads.append(op_index)
                 else:
-                    read_blocks[op_index] = block
+                    read_blocks[op_index] = written
                     served += 1
         if backend_reads:
             arena = memoryview(nvm.read_arena(
@@ -554,6 +562,8 @@ class SecureMemoryController:
         # fetches exactly once too); its parked victims drain at the end,
         # as the scalar end-of-op drain would.
         _, address, data = ops[overflow]
+        block = counter_line.value
+        slot = layout.counter_slot(address)
         old_block = block.copy()
         block.increment(slot)
         self._reencrypt_page(address, old_block, block, skip_slot=slot)

@@ -30,13 +30,7 @@ from repro.crypto.engine import (
     MacEngine,
     block_domain,
 )
-from repro.crypto.primitives import (
-    MacDomain,
-    compute_mac,
-    decrypt_block,
-    encrypt_block,
-    int_field,
-)
+from repro.crypto.primitives import MacDomain, int_field
 from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
 
@@ -182,12 +176,21 @@ class TenantKeyedAes(AesEngine):
     Accounting is identical to the base engine (same kinds, same counts);
     only the key under each block changes.  Addresses outside every tenant
     extent use the master key, so metadata-path users are unaffected.
+    Each tenant's pad prefix state is absorbed once, on first use.
     """
 
     def __init__(self, stats: SimStats, keyring: TenantKeyring,
                  functional: bool = True) -> None:
         super().__init__(stats, key=keyring.aes_master, functional=functional)
         self.keyring = keyring
+        self._tenant_pads: dict[int, batch.KeyedState] = {}
+
+    def _tenant_pad(self, tenant: int) -> batch.KeyedState:
+        state = self._tenant_pads.get(tenant)
+        if state is None:
+            state = batch.pad_state(self.keyring.aes_key(tenant))
+            self._tenant_pads[tenant] = state
+        return state
 
     def encrypt(self, address: int, counter: int,
                 plaintext: bytes | None) -> bytes | None:
@@ -195,8 +198,8 @@ class TenantKeyedAes(AesEngine):
         self._stats.record_aes(AesKind.ENCRYPT)
         if not self.functional or plaintext is None:
             return plaintext
-        key = self.keyring.aes_key(self.keyring.tenant_of(address))
-        return encrypt_block(key, address, counter, plaintext)
+        return self._crypt(self._tenant_pad(self.keyring.tenant_of(address)),
+                           address, counter, plaintext)
 
     def decrypt(self, address: int, counter: int,
                 ciphertext: bytes | None) -> bytes | None:
@@ -204,8 +207,8 @@ class TenantKeyedAes(AesEngine):
         self._stats.record_aes(AesKind.DECRYPT)
         if not self.functional or ciphertext is None:
             return ciphertext
-        key = self.keyring.aes_key(self.keyring.tenant_of(address))
-        return decrypt_block(key, address, counter, ciphertext)
+        return self._crypt(self._tenant_pad(self.keyring.tenant_of(address)),
+                           address, counter, ciphertext)
 
     def _run_batch(self, kind: AesKind, addresses: Sequence[int],
                    counters: Sequence[int],
@@ -217,9 +220,9 @@ class TenantKeyedAes(AesEngine):
         view = memoryview(buffer)
         parts: list[bytes] = []
         for start, end, tenant in self.keyring.key_runs(addresses):
-            key = self.keyring.aes_key(tenant)
             parts.append(batch.encrypt_blocks(
-                key, addresses[start:end], counters[start:end],
+                self._tenant_pad(tenant), addresses[start:end],
+                counters[start:end],
                 view[start * CACHE_LINE_SIZE:end * CACHE_LINE_SIZE]))
         return b"".join(parts)
 
@@ -251,13 +254,24 @@ class TenantKeyedMac(MacEngine):
     Only :meth:`block_mac` / :meth:`block_mac_batch` — the shapes that carry
     a data address — are tenant-keyed.  Node and digest MACs (tree slots,
     cache-tree levels, DLM second level) stay master-keyed: the integrity
-    tree spans all tenants and its content is controller metadata.
+    tree spans all tenants and its content is controller metadata.  Each
+    (tenant, domain) prefix state is absorbed once, on first use.
     """
 
     def __init__(self, stats: SimStats, keyring: TenantKeyring,
                  functional: bool = True) -> None:
         super().__init__(stats, key=keyring.mac_master, functional=functional)
         self.keyring = keyring
+        self._tenant_states: dict[tuple[int, MacDomain],
+                                  batch.KeyedState] = {}
+
+    def _tenant_state(self, tenant: int,
+                      domain: MacDomain) -> batch.KeyedState:
+        state = self._tenant_states.get((tenant, domain))
+        if state is None:
+            state = batch.mac_state(self.keyring.mac_key(tenant), domain)
+            self._tenant_states[(tenant, domain)] = state
+        return state
 
     def block_mac(self, kind: MacKind, ciphertext: bytes | None,
                   address: int, counter: int,
@@ -266,10 +280,10 @@ class TenantKeyedMac(MacEngine):
         self._stats.record_mac(kind)
         if not self.functional or ciphertext is None:
             return _PLACEHOLDER_MAC
-        key = self.keyring.mac_key(self.keyring.tenant_of(address))
-        return compute_mac(key, ciphertext, int_field(address),
-                           int_field(counter, 16),
-                           domain=block_domain(kind, domain))
+        return self._block_mac(
+            self._tenant_state(self.keyring.tenant_of(address),
+                               block_domain(kind, domain)),
+            ciphertext, address, counter)
 
     def block_mac_batch(self, kind: MacKind,
                         buffer: bytes | bytearray | memoryview | None,
@@ -285,10 +299,10 @@ class TenantKeyedMac(MacEngine):
         view = memoryview(buffer)
         macs: list[bytes] = []
         for start, end, tenant in self.keyring.key_runs(addresses):
-            key = self.keyring.mac_key(tenant)
             macs.extend(batch.compute_block_macs(
-                key, view[start * CACHE_LINE_SIZE:end * CACHE_LINE_SIZE],
-                addresses[start:end], counters[start:end], resolved))
+                self._tenant_state(tenant, resolved),
+                view[start * CACHE_LINE_SIZE:end * CACHE_LINE_SIZE],
+                addresses[start:end], counters[start:end]))
         return macs
 
 

@@ -1,9 +1,12 @@
 """Three-level inclusive cache hierarchy."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.fill import page_of
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError
 
 
@@ -234,3 +237,65 @@ class TestReplayEpochEquivalence:
     def test_degenerate_epochs(self, tiny_config):
         self._run_both(tiny_config, [], epoch_ops=8)
         self._run_both(tiny_config, [("w", 0, b"\x05" * 64)], epoch_ops=8)
+
+
+class TestLlcEvictionKeepsFreshestCopy:
+    """An LLC eviction back-invalidates both upper copies of the victim.
+    When L1 and L2 both hold it dirty, the L1 copy is the newer write and
+    must be the one written back — on the scalar path and in epoch replay.
+
+    The geometry (2-set L1 and L2, a 1-set LLC) lets lines share the
+    victim's LLC set without touching its L1/L2 sets, so the LLC evicts it
+    while both upper copies are still resident.
+    """
+
+    OLD = b"\x0a" * 64
+    NEW = b"\x0b" * 64
+
+    @staticmethod
+    def _config(tiny_config):
+        return replace(tiny_config,
+                       l1=CacheConfig("L1", 256, 2, 2),
+                       l2=CacheConfig("L2", 512, 4, 20),
+                       llc=CacheConfig("LLC", 1024, 16, 32))
+
+    def _ops(self):
+        ops = [("w", 0, self.OLD),
+               # Two more even lines push line 0 out of L1: its dirty copy
+               # merges into L2.
+               ("r", 128, None), ("r", 256, None),
+               # The L2 hit refills L1, and the newer write dirties it there.
+               ("w", 0, self.NEW)]
+        # Odd lines fill the LLC's only set; the 14th evicts line 0, the
+        # LLC's least recently used line.
+        ops += [("r", (2 * k + 1) * 64, None) for k in range(14)]
+        return ops + [("r", 0, None)]
+
+    def test_scalar_path_writes_back_the_l1_copy(self, tiny_config):
+        hierarchy = CacheHierarchy(self._config(tiny_config))
+        memory = _OrderedMemory()
+        hierarchy.attach(memory.fetch, memory.writeback)
+        ops = self._ops()
+        for kind, address, data in ops[:-1]:
+            if kind == "w":
+                hierarchy.write(address, data)
+            else:
+                hierarchy.read(address)
+        assert not hierarchy.llc.contains(0)
+        assert memory.store[0] == self.NEW
+        assert hierarchy.read(0) == self.NEW
+
+    def test_epoch_replay_writes_back_the_l1_copy(self, tiny_config):
+        hierarchy = CacheHierarchy(self._config(tiny_config))
+        memory = _OrderedMemory()
+        mem_ops, fills = hierarchy.replay_epoch(self._ops())
+        fetched = []
+        for kind, address, data in mem_ops:
+            if kind == "r":
+                fetched.append(memory.fetch(address))
+            else:
+                memory.writeback(address, data)
+        hierarchy.resolve_pending(fills, fetched)
+        assert ("w", 0, self.NEW) in memory.calls
+        assert fetched[-1] == self.NEW
+        assert hierarchy.read(0) == self.NEW

@@ -42,8 +42,10 @@ def payload(tag: int) -> bytes:
 def _force_overflow(controller: SecureMemoryController,
                     address: int = OVERFLOW_SLOT * 64) -> None:
     """Arm ``address``'s minor counter so its next write wraps the page."""
-    block: SplitCounterBlock = controller.get_counter_line(address).value
-    block.minors[OVERFLOW_SLOT] = 127
+    line = controller.get_counter_line(address)
+    minors = list(line.value.minors)
+    minors[OVERFLOW_SLOT] = 127
+    line.value = SplitCounterBlock(line.value.major, minors)
 
 
 def _run_overflow_sequence(batched: bool) -> SecureMemoryController:
@@ -140,7 +142,7 @@ class TestDrainVictimsOrdering:
         cb_addresses = []
         for data_address in data_addresses:
             line = controller.get_counter_line(data_address)
-            line.value.minors[0] = 1
+            line.value = SplitCounterBlock(0, [1] + [0] * 63)
             line.dirty = True
             cb_addresses.append(line.address)
         return data_addresses, cb_addresses

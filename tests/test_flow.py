@@ -60,6 +60,15 @@ class TestF1KeyDomainTaint:
         assert "master-keyed MAC domain" in result.findings[0].message
         assert "via call to seal()" in result.findings[0].message
 
+    def test_tenant_key_into_tree_prefix_state(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/sharding/evil.py": """\
+            def node_state(keyring, tenant):
+                return mac_state(keyring.mac_key(tenant),
+                                 domain=MacDomain.NODE)
+        """}, rules=["F1"])
+        assert rules_hit(result) == ["F1"]
+        assert "master-keyed MAC domain" in result.findings[0].message
+
     def test_tenant_key_on_data_domain_is_the_designed_path(self, tmp_path):
         result = run_deep(tmp_path, {"repro/sharding/ok.py": """\
             def tag_data(keyring, tenant, payload):
@@ -109,6 +118,18 @@ class TestF1KeyDomainTaint:
                     return batch.encrypt_blocks(key, blocks)
         """}, rules=["F1"])
         assert result.findings == []
+
+    def test_raw_master_key_into_sharded_prefix_state(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/sharding/evil.py": """\
+            class Shard:
+                def __init__(self, aes_master):
+                    self.aes_master = aes_master
+
+                def state(self):
+                    return pad_state(self.aes_master)
+        """}, rules=["F1"])
+        assert rules_hit(result) == ["F1"]
+        assert "TenantKeyring" in result.findings[0].message
 
     def test_master_data_crypto_outside_sharding_is_fine(self, tmp_path):
         # The non-sharded controller legitimately runs data crypto under
@@ -363,6 +384,24 @@ class TestF5CounterMonotonicity:
             def will_wrap(block, slot, limit):
                 counter = block.counter_for(slot)
                 return (counter - 1) >= limit
+        """}, rules=["F5"])
+        assert result.findings == []
+
+    def test_decremented_word_written_back(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/crypto/evil.py": """\
+            def rewind(block, shift):
+                word = block.word
+                block.word = word - (1 << shift)
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert "monotonic" in result.findings[0].message
+
+    def test_incremented_word_write_back_is_the_designed_path(self,
+                                                              tmp_path):
+        result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
+            def advance(block, shift):
+                word = block.word
+                block.word = word + (1 << shift)
         """}, rules=["F5"])
         assert result.findings == []
 

@@ -49,9 +49,8 @@ class TestZeroDivergence:
         name a diverging observable."""
         real = batch.compute_block_macs
 
-        def corrupted(key, buffer, addresses, counters, domain,
-                      frames=None):
-            macs = real(key, buffer, addresses, counters, domain, frames)
+        def corrupted(state, buffer, addresses, counters, frames=None):
+            macs = real(state, buffer, addresses, counters, frames)
             if macs:
                 macs[-1] = bytes(len(macs[-1]))
             return macs
@@ -92,9 +91,8 @@ class TestReplayZeroDivergence:
         verification only on the batched side, and the oracle names it."""
         real = batch.compute_block_macs
 
-        def corrupted(key, buffer, addresses, counters, domain,
-                      frames=None):
-            macs = real(key, buffer, addresses, counters, domain, frames)
+        def corrupted(state, buffer, addresses, counters, frames=None):
+            macs = real(state, buffer, addresses, counters, frames)
             if macs:
                 macs[-1] = bytes(len(macs[-1]))
             return macs

@@ -28,8 +28,8 @@ from repro.crypto.arena import (
     BlockArena,
     arena_accelerated,
     frame_buffer,
-    frame_views,
     pack_u64,
+    split_records,
     tile_u64,
     unpack_u64,
     xor_bytes,
@@ -144,7 +144,7 @@ class TestFrameBuffer:
     def test_views_slice_the_buffer(self, work):
         addrs, ctrs = work
         frames = frame_buffer(addrs, ctrs)
-        views = list(frame_views(frames, len(addrs)))
+        views = split_records(frames, FRAME_SIZE, len(addrs))
         assert [bytes(v) for v in views] == batch.counter_frames(addrs, ctrs)
         assert all(len(v) == FRAME_SIZE for v in views)
 
@@ -156,7 +156,8 @@ class TestFrameBuffer:
     @settings(max_examples=examples(20))
     def test_views_reject_unaligned_buffers(self, count, extra):
         with pytest.raises(ValueError):
-            frame_views(b"\x00" * (FRAME_SIZE * count + extra), count)
+            split_records(b"\x00" * (FRAME_SIZE * count + extra),
+                          FRAME_SIZE, count)
 
 
 class TestXorBytes:
@@ -254,7 +255,7 @@ class TestArenaBackedBatchParity:
     def test_generate_pads_with_frame_buffer(self, kernel, key, work):
         addrs, ctrs = work
         frames = frame_buffer(addrs, ctrs)
-        pads = batch.generate_pads(key, addrs, ctrs, frames)
+        pads = batch.generate_pads(batch.pad_state(key), addrs, ctrs, frames)
         for i, (address, counter) in enumerate(zip(addrs, ctrs)):
             assert pads[i * 64:(i + 1) * 64] == \
                 generate_pad(key, address, counter)
@@ -266,7 +267,7 @@ class TestArenaBackedBatchParity:
         payload = [data.draw(blocks) for _ in addrs]
         built = BlockArena.from_blocks(payload)
         ciphertext = batch.encrypt_blocks(
-            key, addrs, ctrs, built.buffer(),
+            batch.pad_state(key), addrs, ctrs, built.buffer(),
             frame_buffer(addrs, ctrs))
         assert len(ciphertext) == CACHE_LINE_SIZE * len(addrs)
         for i, (address, counter) in enumerate(zip(addrs, ctrs)):
@@ -281,7 +282,7 @@ class TestArenaBackedBatchParity:
         payload = [data.draw(blocks) for _ in addrs]
         built = BlockArena.from_blocks(payload)
         macs = batch.compute_block_macs(
-            key, built.buffer(), addrs, ctrs, domain=domain,
+            batch.mac_state(key, domain), built.buffer(), addrs, ctrs,
             frames=frame_buffer(addrs, ctrs))
         assert len(macs) == len(addrs)
         for mac, address, counter, block in zip(macs, addrs, ctrs, payload):

@@ -100,7 +100,7 @@ class TestPadEquivalence:
     @settings(max_examples=examples(100))
     def test_generate_pads_matches_scalar(self, key, work):
         addrs, ctrs = work
-        pads = batch.generate_pads(key, addrs, ctrs)
+        pads = batch.generate_pads(batch.pad_state(key), addrs, ctrs)
         assert len(pads) == CACHE_LINE_SIZE * len(addrs)
         for i, (address, counter) in enumerate(zip(addrs, ctrs)):
             assert pads[i * 64:(i + 1) * 64] == \
@@ -111,8 +111,9 @@ class TestPadEquivalence:
     def test_shared_frames_change_nothing(self, key, work):
         addrs, ctrs = work
         frames = batch.counter_frames(addrs, ctrs)
-        assert batch.generate_pads(key, addrs, ctrs, frames) == \
-            batch.generate_pads(key, addrs, ctrs)
+        state = batch.pad_state(key)
+        assert batch.generate_pads(state, addrs, ctrs, frames) == \
+            batch.generate_pads(state, addrs, ctrs)
 
     @given(a=blocks, b=blocks)
     @settings(max_examples=examples(100))
@@ -134,7 +135,8 @@ class TestEncryptionEquivalence:
     def test_encrypt_blocks_matches_scalar(self, key, work, data):
         addrs, ctrs = work
         plain = [data.draw(blocks) for _ in addrs]
-        ciphertext = batch.encrypt_blocks(key, addrs, ctrs, b"".join(plain))
+        ciphertext = batch.encrypt_blocks(batch.pad_state(key), addrs, ctrs,
+                                          b"".join(plain))
         for i, (address, counter) in enumerate(zip(addrs, ctrs)):
             assert ciphertext[i * 64:(i + 1) * 64] == \
                 encrypt_block(key, address, counter, plain[i])
@@ -144,8 +146,9 @@ class TestEncryptionEquivalence:
     def test_decrypt_inverts_encrypt(self, key, work, data):
         addrs, ctrs = work
         plain = b"".join(data.draw(blocks) for _ in addrs)
-        ciphertext = batch.encrypt_blocks(key, addrs, ctrs, plain)
-        assert batch.decrypt_blocks(key, addrs, ctrs, ciphertext) == plain
+        state = batch.pad_state(key)
+        ciphertext = batch.encrypt_blocks(state, addrs, ctrs, plain)
+        assert batch.decrypt_blocks(state, addrs, ctrs, ciphertext) == plain
 
 
 class TestMacEquivalence:
@@ -155,7 +158,8 @@ class TestMacEquivalence:
                                                data):
         addrs, ctrs = work
         buffer = b"".join(data.draw(blocks) for _ in addrs)
-        macs = batch.compute_block_macs(key, buffer, addrs, ctrs, domain)
+        macs = batch.compute_block_macs(batch.mac_state(key, domain),
+                                        buffer, addrs, ctrs)
         assert len(macs) == len(addrs)
         for i, (address, counter) in enumerate(zip(addrs, ctrs)):
             assert macs[i] == compute_mac(
@@ -167,7 +171,7 @@ class TestMacEquivalence:
                           .map(tuple), max_size=8))
     @settings(max_examples=examples(100))
     def test_compute_macs_matches_scalar(self, key, domain, items):
-        macs = batch.compute_macs(key, items, domain=domain)
+        macs = batch.compute_macs(batch.mac_state(key, domain), items)
         assert macs == [compute_mac(key, *parts, domain=domain)
                         for parts in items]
 
@@ -178,10 +182,39 @@ class TestMacEquivalence:
                                            counter, block):
         """Equal inputs under different domains never collide (the scalar
         guarantee, preserved by the batch form)."""
-        values = {batch.compute_block_macs(key, block, [address], [counter],
-                                           d)[0]
+        values = {batch.compute_block_macs(batch.mac_state(key, d), block,
+                                           [address], [counter])[0]
                   for d in MacDomain}
         assert len(values) == len(MacDomain)
+
+
+class TestScalarEnginesMatchPrimitives:
+    """The engines' keyed-state copies equal the reference primitives,
+    which re-run the key schedule on every call."""
+
+    @given(key=keys, address=addresses, counter=counters, block=blocks)
+    @settings(max_examples=examples(100))
+    def test_aes_engine(self, key, address, counter, block):
+        engine = AesEngine(SimStats(), key=key)
+        ciphertext = engine.encrypt(address, counter, block)
+        assert ciphertext == encrypt_block(key, address, counter, block)
+        assert engine.decrypt(address, counter, ciphertext) == block
+
+    @given(key=keys, domain=domains, address=addresses, counter=counters,
+           block=blocks)
+    @settings(max_examples=examples(100))
+    def test_mac_engine_every_domain(self, key, domain, address, counter,
+                                     block):
+        engine = MacEngine(SimStats(), key=key)
+        assert engine.block_mac(MacKind.VERIFY, block, address, counter,
+                                domain=domain) == compute_mac(
+            key, block, int_field(address), int_field(counter, 16),
+            domain=domain)
+        assert engine.digest_mac(MacKind.VERIFY, block, domain=domain) == \
+            compute_mac(key, block, domain=domain)
+        assert engine.node_mac(MacKind.VERIFY, block, address) == \
+            compute_mac(key, block, int_field(address),
+                        domain=MacDomain.NODE)
 
 
 class TestEngineBatchEquivalence:
@@ -253,6 +286,17 @@ def _make_controller(batched: bool, scheme: str):
     nvm = NvmDevice(layout.total_size, stats)
     return SecureMemoryController(config, nvm, layout, stats,
                                   scheme=scheme, batched=batched)
+
+
+def _arm_minor(controller, address: int, minor: int) -> None:
+    """Install a counter block whose minor for ``address`` reads ``minor``
+    (every other counter zero) in place of the cached one."""
+    from repro.crypto.counters import SplitCounterBlock
+
+    line = controller.get_counter_line(address)
+    minors = [0] * 64
+    minors[controller.layout.counter_slot(address)] = minor
+    line.value = SplitCounterBlock(0, minors)
 
 
 def _controller_state(controller) -> dict:
@@ -352,13 +396,10 @@ class TestRunOpsEquivalence:
     def test_fetches_alignment_survives_overflow_fallback(self):
         """The mid-segment scalar fallback (minor-counter overflow) must
         keep the fetches stream aligned too."""
-        from repro.crypto.counters import SplitCounterBlock
-
         scalar = _make_controller(False, "lazy")
         batched = _make_controller(True, "lazy")
         for controller in (scalar, batched):
-            block: SplitCounterBlock = controller.get_counter_line(0).value
-            block.minors[0] = 126
+            _arm_minor(controller, 0, 126)
         ops = [("w", 0, bytes([i]) * 64) for i in range(4)] \
             + [("r", 0, None), ("w", 64, bytes(64)), ("r", 64, None),
                ("r", 128, None)]
@@ -371,14 +412,25 @@ class TestRunOpsEquivalence:
     def test_minor_counter_overflow_stays_equivalent(self, scheme):
         """Force a minor-counter overflow mid-batch: the batch must fall
         back to the scalar overflow path with identical observables."""
-        from repro.crypto.counters import SplitCounterBlock
-
         scalar = _make_controller(False, scheme)
         batched = _make_controller(True, scheme)
         for controller in (scalar, batched):
-            block: SplitCounterBlock = controller.get_counter_line(0).value
-            block.minors[0] = 126
+            _arm_minor(controller, 0, 126)
         ops = [("w", 0, bytes([i]) * 64) for i in range(4)] \
             + [("r", 0, None), ("w", 64, bytes(64)), ("r", 64, None)]
+        assert scalar.run_ops(list(ops)) == batched.run_ops_batch(list(ops))
+        assert _controller_state(scalar) == _controller_state(batched)
+
+    @pytest.mark.parametrize("scheme", ["lazy", "eager"])
+    def test_overflow_after_read_of_segment_write(self, scheme):
+        """A segment reads an address it has just written (served from the
+        segment's own ciphertext), then a write wraps a minor counter at
+        127: the overflow tail must still find its counter block."""
+        scalar = _make_controller(False, scheme)
+        batched = _make_controller(True, scheme)
+        for controller in (scalar, batched):
+            _arm_minor(controller, 64, 127)
+        ops = [("w", 0, bytes([1]) * 64), ("r", 0, None),
+               ("w", 64, bytes([2]) * 64), ("r", 64, None)]
         assert scalar.run_ops(list(ops)) == batched.run_ops_batch(list(ops))
         assert _controller_state(scalar) == _controller_state(batched)

@@ -1,8 +1,11 @@
 """Regression comparison tool and trace file I/O."""
 
+import base64
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.experiments.regression import (
@@ -13,6 +16,7 @@ from repro.experiments.regression import (
 from repro.workloads.generators import kvstore_trace
 from repro.workloads.io import load_trace, op_from_json, save_trace
 from repro.workloads.trace import MemoryOp, OpKind
+from tests.conftest import examples
 
 
 def _run_doc(value: float = 10.0, passed: bool = True) -> dict:
@@ -109,3 +113,65 @@ class TestTraceIO:
             op_from_json("not json at all")
         with pytest.raises(ConfigError):
             op_from_json('{"op":"teleport","addr":0}')
+
+    @pytest.mark.parametrize("line", [
+        "null", "[1,2]", '"x"', "7", "true",
+        '{"op":"write","addr":0,"data":"!!not base64!!"}',
+        '{"op":"write","addr":0,"data":5}',
+        '{"op":"write","addr":0,"data":"AAAA"}',
+        '{"op":"read","addr":3}',
+        '{"op":"read","addr":1e400}',
+        '{"op":"read","addr":[64]}',
+        '{"op":["read"],"addr":64}',
+        '{"addr":64}',
+    ])
+    def test_every_malformed_line_raises_config_error(self, line):
+        with pytest.raises(ConfigError):
+            op_from_json(line)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+_FIELDS = st.fixed_dictionaries({}, optional={
+    "op": st.sampled_from(["read", "write"]) | _JSON_VALUES,
+    "addr": st.integers(-128, 1 << 20).map(lambda a: a * 64)
+    | st.integers() | _JSON_VALUES,
+    "data": st.binary(max_size=80).map(
+        lambda raw: base64.b64encode(raw).decode()) | _JSON_VALUES,
+})
+_TRACE_LINES = st.one_of(
+    _FIELDS.map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+
+
+class TestTraceLoaderFuzz:
+    """Whatever a trace file holds, loading it either succeeds or raises
+    ConfigError — nothing else escapes."""
+
+    @staticmethod
+    def _load(path):
+        try:
+            return load_trace(path)
+        except ConfigError:
+            return None
+
+    @given(lines=st.lists(_TRACE_LINES, max_size=6))
+    @settings(max_examples=examples(200),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_text_lines_only_raise_config_error(self, tmp_path, lines):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        self._load(path)
+
+    @given(raw=st.binary(max_size=200))
+    @settings(max_examples=examples(100),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_raw_bytes_only_raise_config_error(self, tmp_path, raw):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_bytes(raw)
+        self._load(path)
