@@ -12,6 +12,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.core.system import SCHEMES, SecureEpdSystem
+from repro.mem.wear import WearTracker
 
 CONFIG = SystemConfig.scaled(128)
 
@@ -29,11 +30,15 @@ def test_drain_wall_clock(benchmark, scheme):
     benchmark.extra_info["memory_requests"] = report.total_memory_requests
 
 
-def _drain_seconds(scheme: str, batched: bool, rounds: int = 5) -> float:
-    """Best-of-N wall seconds of the drain alone (fill excluded)."""
+def _drain_seconds(scheme: str, batched: bool, wear: bool = False,
+                   rounds: int = 5) -> float:
+    """Best-of-N wall seconds of the drain alone (fill excluded); ``wear``
+    attaches a :class:`WearTracker` as the wear ablation does."""
     best = float("inf")
     for _ in range(rounds):
         system = SecureEpdSystem(CONFIG, scheme=scheme, batched=batched)
+        if wear:
+            system.nvm.wear = WearTracker(system.layout)
         system.fill_worst_case(seed=1)
         start = time.perf_counter()
         system.crash(seed=2)
@@ -44,9 +49,12 @@ def _drain_seconds(scheme: str, batched: bool, rounds: int = 5) -> float:
 DRAIN_SPEEDUP_FLOOR = 2.25
 
 
+@pytest.mark.parametrize("wear", [False, True], ids=["plain", "wear"])
 @pytest.mark.parametrize("scheme", ["horus-slm", "horus-dlm"])
-def test_batched_drain_speedup(scheme):
-    """The batched drain path is >=2.25x faster than scalar at LLC scale.
+def test_batched_drain_speedup(scheme, wear):
+    """The batched drain path is >=2.25x faster than scalar at LLC scale,
+    with or without a wear tracker attached (wear is counted in bulk, so
+    it keeps the grouped arena issue).
 
     Best-of-5 on both sides makes the ratio robust to background load:
     both paths run the same episode on the same machine, so machine speed
@@ -54,9 +62,10 @@ def test_batched_drain_speedup(scheme):
     speedups with the arena substrate (3.0x dlm / 2.7x slm) by a noise
     margin; raise it only when the measured ratios move.
     """
-    scalar = _drain_seconds(scheme, batched=False)
-    batched = _drain_seconds(scheme, batched=True)
+    scalar = _drain_seconds(scheme, batched=False, wear=wear)
+    batched = _drain_seconds(scheme, batched=True, wear=wear)
     speedup = scalar / batched
+    label = f"{scheme}+wear" if wear else scheme
     assert speedup >= DRAIN_SPEEDUP_FLOOR, (
-        f"{scheme}: batched drain only {speedup:.2f}x faster than scalar "
+        f"{label}: batched drain only {speedup:.2f}x faster than scalar "
         f"(scalar {scalar * 1e3:.1f} ms, batched {batched * 1e3:.1f} ms)")

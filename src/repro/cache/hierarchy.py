@@ -14,7 +14,7 @@ Supports the two modes the paper exercises:
 """
 
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
@@ -27,7 +27,9 @@ from repro.cache.fill import (
 )
 from repro.cache.line import CacheLine
 from repro.cache.soa import SoALevel, decompose_sets
+from repro.common.address import require_block_aligned
 from repro.common.config import SystemConfig
+from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
 from repro.common.rng import Rng, make_rng
 from repro.crypto.arena import tile_u64
@@ -376,16 +378,45 @@ class CacheHierarchy:
         for level in self.levels:
             level.clear()
 
-    def restore_dirty(self, address: int, data: bytes | None) -> None:
-        """Recovery hook: refill a recovered block into the LLC, dirty.
+    def restore_dirty(self,
+                      blocks: Iterable[tuple[int, bytes | None]]) -> None:
+        """Recovery hook: refill recovered blocks into the LLC, dirty.
 
         The paper's recovery option 1 places verified CHV blocks back in the
-        LLC in dirty state.
+        LLC in dirty state.  ``blocks`` are ``(address, payload)`` pairs,
+        installed in order with :meth:`SetAssociativeCache.insert`'s
+        semantics (and its alignment and 64 B payload checks) through the
+        LLC's set dicts: a resident address is replaced in place, a full
+        set evicts its LRU line, and each dirty victim is written back
+        before the next block lands.
         """
         self._ensure_materialized()
-        victim = self.llc.insert(CacheLine(address, data, dirty=True))
-        if victim is not None and victim.dirty:
-            self._do_writeback(victim)
+        llc = self.llc
+        sets = llc._sets
+        line_size = llc.config.line_size
+        num_sets = llc.config.num_sets
+        ways = llc.config.ways
+        new_line = CacheLine.__new__
+        for address, data in blocks:
+            if data is not None and len(data) != CACHE_LINE_SIZE:
+                raise ValueError(
+                    f"cache line payload must be {CACHE_LINE_SIZE} B, "
+                    f"got {len(data)}")
+            if address % line_size or address < 0:
+                require_block_aligned(address, line_size)
+            line = new_line(CacheLine)
+            line.address = address
+            line.data = data
+            line.dirty = True
+            cache_set = sets[(address // line_size) % num_sets]
+            victim: CacheLine | None = None
+            if address in cache_set:
+                del cache_set[address]
+            elif len(cache_set) >= ways:
+                victim = cache_set.pop(next(iter(cache_set)))
+            cache_set[address] = line
+            if victim is not None and victim.dirty:
+                self._do_writeback(victim)
 
     # ------------------------------------------------------------------
     # Run-time mode

@@ -170,11 +170,12 @@ class HorusDrainEngine(DrainEngine):
         mac_blocks = -(-count // self.mac_group)
 
         if self._nvm.grouped_io:
-            # No fault plan, wear tracker, or trace is watching individual
-            # requests, so the interleaved stream can collapse into three
-            # arena writes (data, address blocks, MAC blocks): the episode
-            # touches disjoint CHV regions, so the final image and the
-            # folded per-kind counters are identical to scalar issue.
+            # No fault plan or trace is watching individual requests, so
+            # the interleaved stream can collapse into three arena writes
+            # (data, address blocks, MAC blocks): the episode touches
+            # disjoint CHV regions, so the final image, the folded per-kind
+            # counters, and the per-block wear counts are identical to
+            # scalar issue.
             data_counts = {}
             if data_count:
                 data_counts[WriteKind.CHV_DATA] = data_count
@@ -205,9 +206,9 @@ class HorusDrainEngine(DrainEngine):
                 mac_buf, WriteKind.CHV_MAC)
             return
 
-        # Accounted channels (fault plan / wear / trace) observe each
-        # request: build the interleaved per-write stream so they see the
-        # exact scalar order, and lose exactly the same writes.
+        # Accounted channels (fault plan / trace) observe each request:
+        # build the interleaved per-write stream so they see the exact
+        # scalar order, and lose exactly the same writes.
         if ciphertext is None:
             data_payloads: list[bytes] = [_ZERO_BLOCK] * count
         else:

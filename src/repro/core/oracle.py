@@ -41,6 +41,7 @@ from repro.common.errors import OracleDivergenceError
 from repro.core.system import SecureEpdSystem
 from repro.crypto.batch import batching_enabled
 from repro.epd.drain import DrainReport
+from repro.mem.wear import WearTracker
 from repro.workloads.replay import DEFAULT_EPOCH_OPS, replay
 from repro.workloads.trace import MemoryOp
 
@@ -83,6 +84,9 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
     """Run one full episode; return (system, observables dict)."""
     system = SecureEpdSystem(config, scheme=scheme, batched=batched,
                              **system_kwargs)
+    # Wear changes no engine choice, so the episode is tracked always and
+    # its per-block write counts are one more observable.
+    system.nvm.wear = WearTracker(system.layout)
     if fill == "sequential":
         system.hierarchy.fill_sequential()
     else:
@@ -119,13 +123,15 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
             obs["recovered blocks"] = recovery.blocks_restored
             obs["recovery cycles"] = recovery.cycles
             obs["recovery stats"] = recovery.stats.snapshot()
+        # Set order, then LRU -> MRU: the recovery paths must refill in
+        # the same order, not just to the same contents.
         obs["hierarchy lines"] = [
-            sorted(((line.address, line.data, line.dirty)
-                    for line in level.lines()), key=lambda entry: entry[0])
+            [(line.address, line.data, line.dirty) for line in level.lines()]
             for level in system.hierarchy.levels]
 
     obs["NVM image"] = system.nvm.backend.image()
     obs["lost writes"] = list(system.nvm.lost_writes)
+    obs["block wear"] = system.nvm.wear.block_writes()
     if system.drain_counter is not None:
         obs["drain counter"] = (system.drain_counter.value,
                                 system.drain_counter.ephemeral)

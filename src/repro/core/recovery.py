@@ -11,6 +11,7 @@ forward order more natural here and the operation counts (what Fig. 16
 measures) are identical either way.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -65,6 +66,7 @@ class HorusRecovery:
         self._chv = chv
         self._dc = drain_counter
         self._hierarchy = hierarchy
+        self._data_end = controller.layout.data.end
         self._timing = timing
         self._dlm = double_level_mac
         self.rotate_vault = rotate_vault
@@ -128,7 +130,6 @@ class HorusRecovery:
         """The reference per-position read/verify/restore loop."""
         aes = self._controller.aes
         mac = self._controller.mac
-        layout = self._controller.layout
 
         address_block: bytes | None = None
         mac_block: bytes | None = None
@@ -171,7 +172,7 @@ class HorusRecovery:
                 if self._maybe_check_dlm_group(mac, mac_block, dlm_buffer,
                                                position, count):
                     for entry in dlm_pending:
-                        self._consume(layout, aes, writeback_queue, *entry)
+                        self._consume(aes, writeback_queue, *entry)
                     dlm_pending = []
                 if len(dlm_buffer) == MACS_PER_BLOCK:
                     dlm_buffer = []
@@ -181,7 +182,7 @@ class HorusRecovery:
                     raise IntegrityError(
                         f"CHV MAC mismatch at vault position {position} "
                         f"(original address {address:#x})", address)
-                self._consume(layout, aes, writeback_queue,
+                self._consume(aes, writeback_queue,
                               address, counter, ciphertext)
 
     def _recover_batched(self, count: int, rotation,
@@ -198,7 +199,6 @@ class HorusRecovery:
         """
         mac = self._controller.mac
         aes = self._controller.aes
-        layout = self._controller.layout
         chv = self._chv
         group_size = self.mac_group
 
@@ -269,8 +269,8 @@ class HorusRecovery:
             plaintext = aes.decrypt_batch(
                 addresses[:verified], counters[:verified],
                 buffer[:verified * CACHE_LINE_SIZE])
-            for address, block in zip(addresses, split_blocks(plaintext)):
-                self._place(layout, writeback_queue, address, block)
+            self._place(zip(addresses, split_blocks(plaintext)),
+                        writeback_queue)
         if failure is not None:
             raise failure
 
@@ -307,29 +307,38 @@ class HorusRecovery:
                 f"position {position}")
         return True
 
-    def _consume(self, layout, aes, writeback_queue: list[tuple[int, bytes]],
+    def _consume(self, aes, writeback_queue: list[tuple[int, bytes]],
                  address: int, counter: int, ciphertext: bytes) -> None:
         """Decrypt and place one verified vault block."""
         plaintext = aes.decrypt(address, counter, ciphertext)
-        self._place(layout, writeback_queue, address, plaintext)
+        self._place(((address, plaintext),), writeback_queue)
 
-    def _place(self, layout, writeback_queue: list[tuple[int, bytes]],
-               address: int, plaintext: bytes) -> None:
-        if self.mode == "writeback" and layout.classify(address) == "data":
-            # Option 2: replay as run-time writes, but only after the
-            # vaulted metadata-cache content is back (it arrives at the
-            # end of the vault, and the lazy tree is unverifiable
-            # without it).
-            writeback_queue.append((address, plaintext))
-        else:
-            self._restore(layout, address, plaintext)
+    def _place(self, blocks: Iterable[tuple[int, bytes]],
+               writeback_queue: list[tuple[int, bytes]]) -> None:
+        """Place verified ``(address, plaintext)`` blocks in vault order.
 
-    def _restore(self, layout, address: int, plaintext: bytes) -> None:
-        region = layout.classify(address)
-        if region == "data":
-            self._hierarchy.restore_dirty(address, plaintext)
-        else:
+        Data blocks go back to the LLC dirty (option 1) or, in writeback
+        mode, onto ``writeback_queue``: option 2 replays them as run-time
+        writes only after the vaulted metadata-cache content is back (it
+        arrives at the end of the vault, and the lazy tree is unverifiable
+        without it).  Metadata blocks re-enter their caches.  Each run of
+        data blocks reaches the hierarchy before the next metadata block,
+        so LLC victim writebacks interleave with metadata restores exactly
+        as block-by-block placement would.
+        """
+        data_end = self._data_end
+        run: list[tuple[int, bytes]] = []
+        data_blocks = run if self.mode == "refill" else writeback_queue
+        for address, plaintext in blocks:
+            if address < data_end:
+                data_blocks.append((address, plaintext))
+                continue
+            if run:
+                self._hierarchy.restore_dirty(run)
+                run.clear()
             self._controller.restore_metadata_line(address, plaintext)
+        if run:
+            self._hierarchy.restore_dirty(run)
 
 
 def estimate_recovery_stats(config: SystemConfig, double_level_mac: bool,

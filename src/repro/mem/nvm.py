@@ -141,20 +141,20 @@ class NvmDevice:
         """Write a batch of ``(address, data, kind)`` blocks in list order.
 
         Accounting is identical to issuing each item through :meth:`write`:
-        stats count every attempt by kind, wear and trace see every request
-        in order, and an attached fault plan filters each write individually
-        (so a power cut mid-batch loses exactly the tail it would have lost
-        under scalar issue).  Only the bookkeeping is grouped — when no
-        fault plan, wear tracker, or trace is attached, the batch takes a
-        fast path that bulk-loads the backend and folds the stats updates
-        into one counter update per kind.
+        stats count every attempt by kind, wear counts every request, the
+        trace sees every request in order, and an attached fault plan
+        filters each write individually (so a power cut mid-batch loses
+        exactly the tail it would have lost under scalar issue).  Only the
+        bookkeeping is grouped — when no fault plan or trace is attached,
+        the batch takes a fast path that bulk-loads the backend, folds the
+        stats updates into one counter update per kind, and records wear
+        as one bulk count.
 
         ``kind_counts`` (a ``{WriteKind: count}`` mapping) lets a caller
         that already knows its batch composition skip the per-item counting
         pass; it must sum to ``len(items)`` with each kind's true count.
         """
-        if (self.fault_plan is not None or self.wear is not None
-                or self.trace is not None):
+        if self.fault_plan is not None or self.trace is not None:
             for address, data, kind in items:
                 self.write(address, data, kind)
             return
@@ -171,19 +171,21 @@ class NvmDevice:
         record = self.stats.record_write
         for kind, count in kind_counts.items():
             record(kind, count)
+        if self.wear is not None:
+            self.wear.record_writes([address for address, _, _ in items])
 
     @property
     def grouped_io(self) -> bool:
         """Whether arena-grouped issue is observationally equivalent.
 
-        A fault plan, wear tracker, or request trace needs to see every
-        write individually and in program order; when any is attached the
-        callers must fall back to the per-request (or interleaved
-        ``write_batch``) form so those channels record exactly what scalar
-        issue would have recorded.
+        A fault plan or request trace needs to see every write individually
+        and in program order; when either is attached the callers must fall
+        back to the per-request (or interleaved ``write_batch``) form so
+        those channels record exactly what scalar issue would have
+        recorded.  Wear is a per-block count, independent of order, so the
+        grouped paths record it in bulk.
         """
-        return (self.fault_plan is None and self.wear is None
-                and self.trace is None)
+        return self.fault_plan is None and self.trace is None
 
     def write_arena(self, addresses, buffer, kinds,
                     kind_counts=None) -> None:
@@ -194,8 +196,9 @@ class NvmDevice:
         per-element sequence; ``kind_counts`` optionally skips the counting
         pass exactly as in :meth:`write_batch`.  When :attr:`grouped_io` is
         false the batch degrades to scalar issue in list order, so fault
-        plans, wear, and traces observe the same per-request stream the
-        scalar path would produce.  Callers that need a specific
+        plans and traces observe the same per-request stream the scalar
+        path would produce; otherwise an attached wear tracker counts the
+        batch in bulk.  Callers that need a specific
         *interleaving* with other writes under a fault plan must check
         :attr:`grouped_io` themselves and build that interleaved stream.
         """
@@ -224,6 +227,8 @@ class NvmDevice:
         record = self.stats.record_write
         for kind, kind_count in kind_counts.items():
             record(kind, kind_count)
+        if self.wear is not None:
+            self.wear.record_writes(addresses)
 
     def read_arena(self, addresses, kind: ReadKind) -> bytearray:
         """Read a batch into one contiguous buffer, accounted under ``kind``.

@@ -40,6 +40,15 @@ class WearTracker:
     def record_write(self, address: int) -> None:
         self._writes[address] += 1
 
+    def record_writes(self, addresses) -> None:
+        """One write to each of ``addresses``, in list order.
+
+        The grouped NVM paths call this once per batch instead of
+        :meth:`record_write` per request; per-block counts are the same
+        whatever the order, and every report below is order-independent.
+        """
+        self._writes.update(addresses)
+
     @property
     def total_writes(self) -> int:
         return sum(self._writes.values())
@@ -47,11 +56,17 @@ class WearTracker:
     def writes_at(self, address: int) -> int:
         return self._writes[address]
 
+    def block_writes(self) -> list[tuple[int, int]]:
+        """``(address, writes)`` of every written block, by address."""
+        return sorted(self._writes.items())
+
     def hottest_block(self) -> tuple[int, int]:
-        """(address, writes) of the most-worn block."""
+        """(address, writes) of the most-worn block; ties go to the lowest
+        address, so the answer does not depend on recording order."""
         if not self._writes:
             return (0, 0)
-        address, count = max(self._writes.items(), key=lambda kv: kv[1])
+        address, count = min(self._writes.items(),
+                             key=lambda kv: (-kv[1], kv[0]))
         return address, count
 
     def region_wear(self) -> list[RegionWear]:

@@ -224,8 +224,10 @@ class SecureMemoryController:
         prefix completes through the five stages, the overflowing op runs
         its page re-encryption on the scalar path, and a fresh segment
         resumes after it.  Accounting side channels the grouped NVM issue
-        cannot reproduce exactly (request traces, fault plans, wear) force
-        the scalar path, as does non-functional mode.  On a MAC mismatch
+        cannot reproduce exactly (request traces and fault plans, which
+        observe request order) force the scalar path, as does
+        non-functional mode; wear is a per-block count and the grouped
+        issue records it in bulk.  On a MAC mismatch
         the same :class:`IntegrityError` is raised, though counters
         recorded after the failing op may differ from scalar — the oracle
         compares successful replays.
@@ -233,7 +235,7 @@ class SecureMemoryController:
         nvm = self.nvm
         if (not self.batched or not self.functional
                 or nvm.trace is not None or nvm.fault_plan is not None
-                or nvm.wear is not None or self.op_hook is not None
+                or self.op_hook is not None
                 or any(data is None
                        for kind, _, data in ops if kind == "w")):
             results = self.run_ops(ops)
@@ -408,9 +410,9 @@ class SecureMemoryController:
             ciphertext = b""
             write_macs = []
 
-        # Stage 3 — data-region NVM traffic.  The segment is fault-,
-        # wear-, and trace-free by construction (run_ops_batch
-        # eligibility), so the op-ordered run grouping collapses further:
+        # Stage 3 — data-region NVM traffic.  The segment is fault- and
+        # trace-free by construction (run_ops_batch eligibility), so the
+        # op-ordered run grouping collapses further:
         # reads that precede any same-address write see the pre-segment
         # backend and are issued as one arena read *before* the writes
         # land as one arena write; a read of data written earlier in the

@@ -6,8 +6,9 @@ import pytest
 
 from repro.cache.fill import page_of
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.line import CacheLine
 from repro.common.config import CacheConfig
-from repro.common.errors import ConfigError
+from repro.common.errors import AlignmentError, ConfigError
 
 
 @pytest.fixture
@@ -140,9 +141,51 @@ class TestRuntimePath:
 
 class TestRestore:
     def test_restore_dirty_places_line_in_llc(self, hierarchy):
-        hierarchy.restore_dirty(4096, b"\x11" * 64)
+        hierarchy.restore_dirty([(4096, b"\x11" * 64)])
         line = hierarchy.llc.lookup(4096, touch=False)
         assert line.dirty and line.data == b"\x11" * 64
+
+    def test_restore_dirty_matches_per_line_inserts(self, tiny_config):
+        """One call over many blocks leaves the LLC (LRU order included)
+        and the ordered writeback stream exactly as one ``insert`` per
+        block would: overflowing one set evicts in order, a re-restored
+        address replaces in place, and a clean victim is not written."""
+        llc = tiny_config.llc
+        stride = llc.num_sets * llc.line_size
+        addresses = [i * stride for i in range(llc.ways + 3)]
+        blocks = [(address, bytes([i + 1]) * 64)
+                  for i, address in enumerate(addresses)]
+        blocks.insert(2, (addresses[0], b"\x7f" * 64))
+        blocks.append((llc.line_size, b"\x01" * 64))
+
+        def prepared():
+            hierarchy = CacheHierarchy(tiny_config)
+            memory = _OrderedMemory()
+            hierarchy.attach(memory.fetch, memory.writeback)
+            hierarchy.llc.insert(CacheLine(addresses[-1] + stride))
+            return hierarchy, memory
+
+        bulk, bulk_memory = prepared()
+        bulk.restore_dirty(iter(blocks))
+        reference, reference_memory = prepared()
+        for address, data in blocks:
+            victim = reference.llc.insert(CacheLine(address, data, True))
+            if victim is not None and victim.dirty:
+                reference_memory.writeback(victim.address, victim.data)
+        assert bulk_memory.calls == reference_memory.calls
+        assert [address for _, address, _ in bulk_memory.calls] == [
+            addresses[1], addresses[0], addresses[2]]
+        assert ([(line.address, line.data, line.dirty)
+                 for line in bulk.llc.lines()]
+                == [(line.address, line.data, line.dirty)
+                    for line in reference.llc.lines()])
+
+    def test_restore_dirty_checks_alignment_and_payload(self, hierarchy):
+        with pytest.raises(AlignmentError):
+            hierarchy.restore_dirty([(4096 + 8, bytes(64))])
+        with pytest.raises(ValueError, match="64 B"):
+            hierarchy.restore_dirty([(4096, bytes(63))])
+        assert len(hierarchy) == 0
 
     def test_invalidate_all(self, hierarchy):
         hierarchy.fill_worst_case(seed=1)

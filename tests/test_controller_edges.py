@@ -99,9 +99,9 @@ class TestReencryptPageOnOverflow:
                                      batched=batched)
             for slot in WRITTEN_SLOTS:
                 system.controller.write(slot * 64, payload(slot + 1))
-            for slot in (1, 5, OVERFLOW_SLOT):
-                system.hierarchy.restore_dirty(slot * 64,
-                                               payload(0xA0 + slot))
+            system.hierarchy.restore_dirty(
+                (slot * 64, payload(0xA0 + slot))
+                for slot in (1, 5, OVERFLOW_SLOT))
             _force_overflow(system.controller)
             system.crash(seed=7)
             return system

@@ -118,8 +118,7 @@ class TestChvContents:
         """Unique DC per flush: equal lines leak nothing (Section IV-C4)."""
         system = SecureEpdSystem(tiny_config, scheme="horus-slm")
         same = b"\x42" * 64
-        system.hierarchy.restore_dirty(0, same)
-        system.hierarchy.restore_dirty(4096, same)
+        system.hierarchy.restore_dirty([(0, same), (4096, same)])
         system.crash(seed=2)
         chv = system.drain_engine._chv
         assert system.nvm.peek(chv.data_address(0)) != \

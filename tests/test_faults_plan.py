@@ -12,8 +12,8 @@ from repro.stats.events import WriteKind
 
 
 class _WearRecorder:
-    """Duck-typed stand-in for WearTracker (the device only calls
-    record_write)."""
+    """Duck-typed stand-in for WearTracker (a device with a fault plan
+    issues every write singly, so it only calls record_write)."""
 
     def __init__(self):
         self.counts = Counter()

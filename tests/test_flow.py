@@ -214,6 +214,27 @@ class TestF3FaultPlanParity:
         assert rules_hit(result) == ["F3"]
         assert "write_arena" in result.findings[0].message
 
+    def test_wear_only_guard_is_flagged(self, tmp_path):
+        # Wear is a per-block count recorded in bulk by the grouped paths,
+        # so consulting it alone is no scalar-degradation guard.
+        result = run_deep(tmp_path, {"repro/mem/evil.py": """\
+            class WornDevice:
+                def __init__(self):
+                    self.fault_plan = None
+                    self.wear = None
+                    self.cells = {}
+
+                def write_arena(self, base, buffer):
+                    if self.wear is not None:
+                        return self._scalar(base, buffer)
+                    self.cells[base] = buffer
+
+                def _scalar(self, base, buffer):
+                    self.cells[base] = buffer
+        """}, rules=["F3"])
+        assert rules_hit(result) == ["F3"]
+        assert "write_arena" in result.findings[0].message
+
     def test_direct_guard_read_is_clean(self, tmp_path):
         result = run_deep(tmp_path, {"repro/mem/ok.py": """\
             class Device:

@@ -12,8 +12,11 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import OracleDivergenceError
 from repro.core import oracle
+from repro.core.system import SecureEpdSystem
 from repro.crypto import batch
 from repro.faults.matrix import SCHEME_VARIANTS
+from repro.mem.nvm import NvmDevice
+from repro.mem.wear import WearTracker
 
 CONFIG = SystemConfig.scaled(512)
 
@@ -26,12 +29,51 @@ def variant_id(variant):
 class TestZeroDivergence:
     @pytest.mark.parametrize("variant", SCHEME_VARIANTS, ids=variant_id)
     def test_fault_matrix_schemes_never_diverge(self, variant):
+        """Drain + recover on both paths: NVM image, stats, per-block wear
+        (every oracle episode is wear-tracked), and hierarchy lines in LRU
+        order must match."""
         scheme, rotate = variant
         kwargs = {"rotate_vault": True} if rotate else {}
         outcome = oracle.run_differential(CONFIG, scheme, recover=True,
                                           **kwargs)
         assert outcome.drain is not None
         assert outcome.checks >= 7
+
+    @pytest.mark.parametrize("variant", [
+        variant for variant in SCHEME_VARIANTS
+        if variant[0].startswith("horus")], ids=variant_id)
+    def test_wear_tracked_horus_episode_stays_grouped(self, variant,
+                                                      monkeypatch):
+        """A wear tracker keeps the batched Horus drain and recovery on
+        the grouped engines: no per-request ``NvmDevice.write``, and every
+        write still counted (the oracle runs above compare the per-block
+        counts with scalar)."""
+        scheme, rotate = variant
+
+        def per_request(*args, **kwargs):
+            raise AssertionError("batched episode issued a scalar write")
+
+        system = SecureEpdSystem(CONFIG, scheme=scheme, batched=True,
+                                 rotate_vault=rotate)
+        system.nvm.wear = WearTracker(system.layout)
+        monkeypatch.setattr(NvmDevice, "write", per_request)
+        system.fill_worst_case(seed=11)
+        system.crash(seed=23)
+        system.recover()
+        assert system.nvm.wear.total_writes == sum(
+            system.stats.writes.values())
+
+    def test_planted_wear_divergence_is_caught(self, monkeypatch):
+        """Drop one address from every bulk wear update: the oracle must
+        name the per-block wear observable."""
+        real = WearTracker.record_writes
+
+        def lossy(tracker, addresses):
+            real(tracker, list(addresses)[1:])
+
+        monkeypatch.setattr(WearTracker, "record_writes", lossy)
+        with pytest.raises(OracleDivergenceError, match="block wear"):
+            oracle.run_differential(CONFIG, "horus-slm", recover=True)
 
     @pytest.mark.parametrize("fill", ["sparse", "sequential"])
     def test_fill_modes_never_diverge(self, fill):

@@ -274,16 +274,19 @@ class TestSplitBlocks:
 
 # -- run_ops_batch vs the scalar op loop --------------------------------------
 
-def _make_controller(batched: bool, scheme: str):
+def _make_controller(batched: bool, scheme: str, wear: bool = False):
     from repro.common.config import SystemConfig
     from repro.mem.nvm import NvmDevice
     from repro.mem.regions import MemoryLayout
+    from repro.mem.wear import WearTracker
     from repro.secure.controller import SecureMemoryController
 
     config = SystemConfig.scaled(512)
     layout = MemoryLayout(config)
     stats = SimStats()
     nvm = NvmDevice(layout.total_size, stats)
+    if wear:
+        nvm.wear = WearTracker(layout)
     return SecureMemoryController(config, nvm, layout, stats,
                                   scheme=scheme, batched=batched)
 
@@ -311,6 +314,8 @@ def _controller_state(controller) -> dict:
             for cache in controller.metadata_caches],
         "root": controller.root_mac,
         "lost": list(controller.nvm.lost_writes),
+        "wear": (None if controller.nvm.wear is None
+                 else controller.nvm.wear.block_writes()),
     }
 
 
@@ -346,12 +351,16 @@ class TestRunOpsEquivalence:
     read-after-write within one epoch.
     """
 
+    @pytest.mark.parametrize("wear", [False, True], ids=["plain", "wear"])
     @pytest.mark.parametrize("scheme", ["lazy", "eager"])
     @given(ops=op_lists())
     @settings(max_examples=examples(25), deadline=None)
-    def test_batch_matches_scalar(self, scheme, ops):
-        scalar = _make_controller(False, scheme)
-        batched = _make_controller(True, scheme)
+    def test_batch_matches_scalar(self, scheme, wear, ops):
+        """With ``wear`` a tracker is attached to both devices: the batch
+        stays batched and the per-block wear counts must match too."""
+        scalar = _make_controller(False, scheme, wear)
+        batched = _make_controller(True, scheme, wear)
+        batched.run_ops = None  # a fallback to the scalar loop would fail
         assert scalar.run_ops(list(ops)) == batched.run_ops_batch(list(ops))
         assert _controller_state(scalar) == _controller_state(batched)
 

@@ -29,8 +29,7 @@ class TestHorusRoundtripProperties:
     @settings(max_examples=examples(30))
     def test_arbitrary_dirty_state_survives_crash(self, contents, scheme):
         system = SecureEpdSystem(CONFIG, scheme=scheme)
-        for address, data in contents.items():
-            system.hierarchy.restore_dirty(address, data)
+        system.hierarchy.restore_dirty(contents.items())
         system.crash(seed=1)
         system.recover()
         restored = {line.address: line.data
@@ -41,8 +40,7 @@ class TestHorusRoundtripProperties:
     @settings(max_examples=examples(20))
     def test_vault_never_stores_plaintext(self, contents):
         system = SecureEpdSystem(CONFIG, scheme="horus-slm")
-        for address, data in contents.items():
-            system.hierarchy.restore_dirty(address, data)
+        system.hierarchy.restore_dirty(contents.items())
         system.crash(seed=1)
         chv = system.drain_engine._chv
         vaulted = {system.nvm.peek(chv.data_address(i))
